@@ -14,7 +14,7 @@ use gsi_core::{CyclePriority, StallKind};
 use gsi_isa::asm::parse_program;
 use gsi_mem::Protocol;
 use gsi_sim::LaunchSpec;
-use gsi_sim::{CycleEngine, KernelRun, Simulator, SystemConfig};
+use gsi_sim::{CycleEngine, EngineStats, KernelRun, Simulator, SystemConfig};
 use gsi_sm::SchedPolicy;
 use gsi_trace::TraceLevel;
 use gsi_workloads::implicit::{self, ImplicitConfig, LocalMemStyle};
@@ -389,7 +389,7 @@ fn main() {
     // The artifacts above are already on disk; stdout is best-effort. A
     // reader that closes the pipe early (`gsi-run ... | head`) must end
     // the run quietly, not panic mid-print.
-    if let Err(e) = print_report(&o, &run, blame.as_ref(), diff.as_ref()) {
+    if let Err(e) = print_report(&o, &run, sim.engine_stats(), blame.as_ref(), diff.as_ref()) {
         if e.kind() != std::io::ErrorKind::BrokenPipe {
             eprintln!("stdout error: {e}");
             std::process::exit(1);
@@ -402,6 +402,7 @@ fn main() {
 fn print_report(
     o: &Options,
     run: &KernelRun,
+    engine: EngineStats,
     blame: Option<&BlameReport>,
     diff: Option<&BlameDiff>,
 ) -> std::io::Result<()> {
@@ -411,12 +412,15 @@ fn print_report(
     if !o.quiet {
         writeln!(
             out,
-            "{}: {} cycles, {} instructions on {} SM(s)\n",
+            "{}: {} cycles, {} instructions on {} SM(s)",
             o.workload,
             run.cycles,
             run.instructions,
             run.per_sm.len()
         )?;
+        // How the host computed it (whole run, every launch): never part
+        // of the exported result.
+        writeln!(out, "engine: {engine}\n")?;
         let fig = Figure::new(format!("{} stall breakdown", o.workload))
             .with_entry(o.workload.clone(), run.breakdown.clone());
         writeln!(out, "{}", fig.render_fractions(Panel::Execution, 60))?;

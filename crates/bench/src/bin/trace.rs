@@ -76,6 +76,9 @@ fn main() {
             run.cycles,
             trace.dropped_events(),
         );
+        // Full tracing and self-profiling force the dense loop, so this
+        // reads "0 slept": the cost of observing every cycle, made visible.
+        println!("engine: {}", sim.engine_stats());
         println!("{}", trace.render_histograms());
         println!("{}", trace.render_heatmap(mesh_w, mesh_h, run.cycles));
         println!("{}", trace.render_timelines());

@@ -37,8 +37,8 @@ pub struct SystemConfig {
     /// before any cycle is simulated.
     pub analysis_gate: AnalysisGate,
     /// How the simulator advances time: dense per-cycle ticking, or the
-    /// event-driven skip-ahead calendar (bit-identical results, much
-    /// faster on memory-bound kernels).
+    /// event-driven per-core calendar (bit-identical results; SMs that
+    /// cannot issue are not ticked).
     pub cycle_engine: CycleEngine,
 }
 
@@ -52,9 +52,11 @@ pub struct SystemConfig {
 pub enum CycleEngine {
     /// Tick every subsystem every cycle (the original loop; the oracle).
     Dense,
-    /// Consult each subsystem's next-wake calendar and jump the clock over
-    /// provably quiet stretches, bulk-crediting the skipped cycles to the
-    /// same per-warp stall categories the dense loop would have recorded.
+    /// Stop ticking each SM that provably cannot act until one of its own
+    /// timers, a mesh delivery or a block dispatch wakes it, and jump the
+    /// clock when every SM sleeps; the slept cycles are bulk-credited to
+    /// the same per-warp stall categories the dense loop would have
+    /// recorded.
     #[default]
     Event,
 }

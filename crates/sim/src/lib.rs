@@ -41,7 +41,9 @@ mod progress;
 
 pub use config::{AnalysisGate, CycleEngine, SystemConfig};
 pub use launch::{LaunchCtx, LaunchSpec};
-pub use machine::{analyze_launch, analyze_launch_with, KernelRun, SimError, Simulator};
+pub use machine::{
+    analyze_launch, analyze_launch_with, EngineStats, KernelRun, SimError, Simulator,
+};
 pub use progress::{ProgressReport, SmProgress, TimeoutKind};
 
 pub use gsi_analyze::{

@@ -126,10 +126,109 @@ gsi_json::json_struct!(KernelRun {
     warp_profiles,
 });
 
+/// Host-side counters of the cycle engine's own work: how many core
+/// ticks it executed and how many it avoided. Diagnostics only — they
+/// describe how a result was computed, not the result, so they are kept out
+/// of [`KernelRun`], snapshots and every result encoding. Cumulative over
+/// the simulator's lifetime (a restored simulator starts from zero).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Core ticks executed (memory unit + issue stage of one SM for one
+    /// cycle). The dense loop executes `cycles x SMs` of them.
+    pub core_ticks: u64,
+    /// SM-cycles credited in bulk to a sleeping core instead of ticked.
+    pub core_cycles_slept: u64,
+    /// Sleep windows that skipped at least one cycle.
+    pub sleep_windows: u64,
+    /// Times the global clock jumped over a stretch in which every core
+    /// slept and neither the mesh nor the shared side had work.
+    pub clock_jumps: u64,
+}
+
+impl EngineStats {
+    /// Share of SM-cycles that were slept through instead of ticked.
+    pub fn slept_share(&self) -> f64 {
+        let total = self.core_ticks + self.core_cycles_slept;
+        if total == 0 {
+            0.0
+        } else {
+            self.core_cycles_slept as f64 / total as f64
+        }
+    }
+}
+
+impl fmt::Display for EngineStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} core ticks, {} SM-cycles slept ({:.1}%) in {} windows, {} clock jumps",
+            self.core_ticks,
+            self.core_cycles_slept,
+            self.slept_share() * 100.0,
+            self.sleep_windows,
+            self.clock_jumps
+        )
+    }
+}
+
 struct Core {
     sm: SmCore,
     mem: CoreMemUnit,
     collector: StallCollector,
+    /// The event engine has stopped ticking this core: every warp's
+    /// classification is frozen and the memory unit has nothing to do
+    /// until `wake_at`. Always false outside [`Simulator::run_until`].
+    asleep: bool,
+    /// The core's latest tick left no warp that is certain to be ready
+    /// next cycle, so it is worth asking the calendar whether it can sleep.
+    may_sleep: bool,
+    /// First cycle the core was not ticked for (meaningful while asleep).
+    slept_from: u64,
+    /// Earliest cycle one of the core's own timers expires (`u64::MAX`
+    /// when only an outside event can unblock it).
+    wake_at: u64,
+}
+
+impl Core {
+    /// Resume ticking at cycle `now`, crediting the slept stretch
+    /// `[slept_from, now)` to the stall breakdown exactly as that many
+    /// dense ticks would have. This is the only place slept cycles are
+    /// credited, and callers invoke it *before* the mutation that ends the
+    /// sleep (a delivery, a dispatch, the kernel-end flush), so the frozen
+    /// classification is still the one observable at `slept_from`. A no-op
+    /// on a core that is awake.
+    fn wake(&mut self, now: u64, stats: &mut EngineStats) {
+        if !self.asleep {
+            return;
+        }
+        self.asleep = false;
+        let n = now - self.slept_from;
+        if n > 0 {
+            self.sm.skip_cycles(self.slept_from, n, &mut self.collector);
+            stats.core_cycles_slept += n;
+            stats.sleep_windows += 1;
+        }
+    }
+
+    /// After a tick at `now` that left no warp certainly ready, and with
+    /// the outbox drained: stop ticking if neither the SM nor the memory
+    /// unit can act at `now + 1`.
+    fn try_sleep(&mut self, now: u64) {
+        let next = now + 1;
+        // The memory unit's answer is O(1); ask it first.
+        let mem_wake = self.mem.next_wake(next).unwrap_or(u64::MAX);
+        if mem_wake <= next {
+            return;
+        }
+        let sm_wake = match self.sm.next_wake(next) {
+            SmWake::Busy => return,
+            SmWake::At(t) => t,
+            SmWake::Idle => u64::MAX,
+        };
+        self.asleep = true;
+        self.slept_from = next;
+        self.wake_at = sm_wake.min(mem_wake);
+    }
 }
 
 /// Mid-kernel execution state carried between [`Simulator::run_until`]
@@ -173,14 +272,6 @@ struct SimScratch {
     warp_inits: Vec<WarpInit>,
 }
 
-/// Earliest of two optional wake times (the event calendar's reducer).
-fn fold_wake(a: Option<u64>, b: Option<u64>) -> Option<u64> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    }
-}
-
 /// The integrated CPU-GPU system simulator.
 ///
 /// Create one with a [`SystemConfig`], initialize global memory through
@@ -195,6 +286,7 @@ pub struct Simulator {
     cores: Vec<Core>,
     cycle: u64,
     profiling: bool,
+    engine: EngineStats,
     scratch: SimScratch,
     trace: TraceBuffer,
     chaos_plan: FaultPlan,
@@ -235,6 +327,10 @@ impl Simulator {
                 sm: SmCore::new(i, cfg.sm),
                 mem: CoreMemUnit::new(i, NodeId(i), cfg.mem),
                 collector: StallCollector::new(),
+                asleep: false,
+                may_sleep: false,
+                slept_from: 0,
+                wake_at: 0,
             })
             .collect();
         Simulator {
@@ -244,6 +340,7 @@ impl Simulator {
             cores,
             cycle: 0,
             profiling: true,
+            engine: EngineStats::default(),
             scratch: SimScratch::default(),
             trace: TraceBuffer::disabled(),
             chaos_plan: FaultPlan::disabled(),
@@ -337,6 +434,21 @@ impl Simulator {
             mesh_in_flight: self.mesh.in_flight(),
             sms,
         })
+    }
+
+    /// Wake every sleeping core at `now`. Every way out of
+    /// [`run_until`](Self::run_until) — pause, timeout, completion — goes
+    /// through here, so no core is ever asleep outside it and everything
+    /// read afterwards (results, snapshots, reports) is the dense loop's.
+    fn wake_all(&mut self, now: u64) {
+        for c in &mut self.cores {
+            c.wake(now, &mut self.engine);
+        }
+    }
+
+    /// Host-side counters of the cycle engine's work (see [`EngineStats`]).
+    pub fn engine_stats(&self) -> EngineStats {
+        self.engine
     }
 
     /// The watchdog's progress signature: any change counts as forward
@@ -547,6 +659,15 @@ impl Simulator {
     /// machine), `Ok(Some(run))` when the kernel finished. A paused-and-
     /// resumed run is cycle-for-cycle identical to an uninterrupted one.
     ///
+    /// Under [`CycleEngine::Event`] a core whose SM cannot issue and whose
+    /// memory unit has nothing to do is put to sleep and not ticked again
+    /// until one of its own timers, a mesh delivery addressed to it, a
+    /// block dispatched to it or the kernel-end flush wakes it; the slept
+    /// cycles are credited at that moment, before whatever woke it touches
+    /// it. Every way out of this function — pause, timeout, completion —
+    /// wakes all cores first, so nothing observable afterwards (results,
+    /// snapshots, progress reports) depends on the engine.
+    ///
     /// `spec` must be the launch passed to
     /// [`begin_kernel`](Self::begin_kernel) (the spec itself is not stored,
     /// because launch initializers are closures).
@@ -582,7 +703,7 @@ impl Simulator {
         // comparison per cycle. Sampling every `min(PERIOD, window)` cycles
         // keeps windows shorter than the period meaningful (the old
         // power-of-two mask test silently quantized them up to 4096) and
-        // gives the event engine a concrete cycle to clamp its skips to.
+        // gives the event engine a concrete cycle to clamp its clock jumps to.
         // Recomputed per slice: the sample grid only affects when a hang is
         // *detected*, never the simulated state, so slicing stays
         // cycle-identical to a straight-through run.
@@ -592,7 +713,8 @@ impl Simulator {
         let mut progress_sig = self.progress_signature(blocks_done);
         let mut last_progress = self.cycle;
 
-        // The event engine skips stretches in which no subsystem can act.
+        // The event engine stops ticking cores that cannot act (see
+        // `Core::try_sleep`) and jumps the clock when nothing at all can.
         // Full event tracing and self-profiling observe individual cycles,
         // so they force the dense loop.
         let event_engine = self.cfg.cycle_engine == CycleEngine::Event
@@ -602,6 +724,7 @@ impl Simulator {
         loop {
             let now = self.cycle;
             if now >= stop {
+                self.wake_all(now);
                 self.progress = Some(KernelProgress {
                     start,
                     next_block,
@@ -611,9 +734,24 @@ impl Simulator {
                 });
                 return Ok(None);
             }
-            if now - start > self.cfg.max_cycles {
+            let mut timeout =
+                (now - start > self.cfg.max_cycles).then_some(TimeoutKind::CycleBudget);
+            if timeout.is_none() && self.cfg.progress_window > 0 && now >= next_watchdog {
+                next_watchdog = now + watchdog_period;
+                let sig = self.progress_signature(blocks_done);
+                if sig != progress_sig {
+                    progress_sig = sig;
+                    last_progress = now;
+                } else if now - last_progress >= self.cfg.progress_window {
+                    timeout = Some(TimeoutKind::NoForwardProgress);
+                }
+            }
+            if let Some(kind) = timeout {
+                // The report reads every SM's breakdown: credit sleepers
+                // first so it is the dense loop's report.
+                self.wake_all(now);
                 let report = self.progress_report(
-                    TimeoutKind::CycleBudget,
+                    kind,
                     now - start,
                     now - last_progress,
                     blocks_done,
@@ -626,29 +764,6 @@ impl Simulator {
                     blocks_total: spec.grid_blocks,
                     report,
                 });
-            }
-            if self.cfg.progress_window > 0 && now >= next_watchdog {
-                next_watchdog = now + watchdog_period;
-                let sig = self.progress_signature(blocks_done);
-                if sig != progress_sig {
-                    progress_sig = sig;
-                    last_progress = now;
-                } else if now - last_progress >= self.cfg.progress_window {
-                    let report = self.progress_report(
-                        TimeoutKind::NoForwardProgress,
-                        now - start,
-                        now - last_progress,
-                        blocks_done,
-                        next_block,
-                        spec.grid_blocks,
-                    );
-                    return Err(SimError::Timeout {
-                        cycles: now - start,
-                        blocks_done,
-                        blocks_total: spec.grid_blocks,
-                        report,
-                    });
-                }
             }
 
             let profiling = self.trace.self_profiling();
@@ -666,13 +781,16 @@ impl Simulator {
                 };
             }
 
-            // 1. Mesh deliveries: requests to banks, responses to cores.
+            // 1. Mesh deliveries: requests to banks, responses to cores (a
+            //    delivery wakes its core).
             self.mesh.deliver_into_traced(now, &mut self.scratch.deliveries, &mut self.trace);
             for (node, msg) in self.scratch.deliveries.drain(..) {
                 if bank_bound(&msg) {
                     self.shared.deliver(now, node, msg);
                 } else {
-                    self.cores[node.0 as usize].mem.deliver_traced(now, msg, &mut self.trace);
+                    let core = &mut self.cores[node.0 as usize];
+                    core.wake(now, &mut self.engine);
+                    core.mem.deliver_traced(now, msg, &mut self.trace);
                 }
             }
             lap!(Subsystem::MeshDeliver);
@@ -683,40 +801,62 @@ impl Simulator {
 
             // 3. Block dispatch: blocks map to SMs round-robin (block id
             //    modulo SM count), waiting for their home SM to have room.
+            //    A dispatch wakes its SM.
             while next_block < spec.grid_blocks {
                 let sm = (next_block % n_cores) as usize;
-                if !self.cores[sm].sm.has_capacity(warps) {
+                let core = &mut self.cores[sm];
+                if !core.sm.has_capacity(warps) {
                     break;
                 }
-                let ctx = LaunchCtx { sm: sm as u8, slot: self.cores[sm].sm.peek_next_slot() };
+                core.wake(now, &mut self.engine);
+                let ctx = LaunchCtx { sm: sm as u8, slot: core.sm.peek_next_slot() };
                 // One scratch buffer serves every dispatch: `add_block_from`
                 // drains it into the SM, so no per-block Vec is allocated.
                 self.scratch
                     .warp_inits
                     .extend((0..warps).map(|w| spec.init_warp(next_block, w, ctx)));
-                self.cores[sm].sm.add_block_from(next_block, &mut self.scratch.warp_inits);
+                core.sm.add_block_from(next_block, &mut self.scratch.warp_inits);
                 next_block += 1;
             }
             lap!(Subsystem::Dispatch);
 
-            // 4. Cores: memory unit first, then the SM issue stage.
+            // 4. Cores: memory unit first, then the SM issue stage. A
+            //    sleeping core is passed over until its own timer is due.
+            let mut ticked = 0;
             for c in &mut self.cores {
+                if c.asleep {
+                    if c.wake_at > now {
+                        continue;
+                    }
+                    c.wake(now, &mut self.engine);
+                }
+                ticked += 1;
                 c.mem.tick_traced(now, &mut self.trace);
-                c.sm.tick_traced(
+                let still_ready = c.sm.tick_traced(
                     now,
                     &mut c.mem,
                     &mut self.gmem,
                     &mut c.collector,
                     &mut self.trace,
                 );
+                c.may_sleep = event_engine && !still_ready;
                 c.sm.drain_completed_blocks(&mut self.scratch.completed);
             }
+            self.engine.core_ticks += ticked;
             blocks_done += self.scratch.completed.len() as u64;
             self.scratch.completed.clear();
             lap!(Subsystem::Cores);
 
-            // 5. Outgoing traffic.
+            // 5. Outgoing traffic (a sleeping core's outbox is empty), then
+            //    the sleep decision: unless its issue stage left a warp
+            //    that is certainly ready, a core asks its calendar once,
+            //    now that the outbox is drained, whether anything can
+            //    happen next cycle.
+            let mut any_awake = false;
             for (i, c) in self.cores.iter_mut().enumerate() {
+                if c.asleep {
+                    continue;
+                }
                 c.mem.drain_outbox(&mut self.scratch.outbox);
                 for (dst, msg) in self.scratch.outbox.drain(..) {
                     self.mesh.send_traced(
@@ -728,6 +868,10 @@ impl Simulator {
                         &mut self.trace,
                     );
                 }
+                if c.may_sleep {
+                    c.try_sleep(now);
+                }
+                any_awake |= !c.asleep;
             }
             lap!(Subsystem::Outbox);
             if profiling {
@@ -736,12 +880,15 @@ impl Simulator {
 
             // 6. Kernel end: once every block has finished, kernel exit acts
             //    as a release — flush store buffers and write back stashes,
-            //    then wait for full quiescence.
+            //    then wait for full quiescence. Every core has been ticked
+            //    (or slept) through `now`; the flush wakes it for `now + 1`.
             if !end_flush && blocks_done == spec.grid_blocks {
                 for c in &mut self.cores {
+                    c.wake(now + 1, &mut self.engine);
                     c.mem.begin_kernel_end_flush();
                 }
                 end_flush = true;
+                any_awake = true;
             }
             if end_flush
                 && self.mesh.in_flight() == 0
@@ -753,46 +900,34 @@ impl Simulator {
             }
             self.cycle += 1;
 
-            // 7. Event calendar: if no subsystem can act before cycle `t`,
-            //    jump the clock there, crediting the skipped cycles to each
-            //    SM's stall breakdown exactly as the dense loop would have
-            //    (see `SmCore::skip_cycles`). A skip never crosses a
-            //    watchdog sample or the cycle-budget boundary, so timeout
-            //    behavior is identical to the dense loop's.
-            if event_engine {
+            // 7. Global jump: with every core asleep and no block waiting
+            //    for room, nothing happens before the earliest of the
+            //    cores' own timers, the next mesh delivery and the shared
+            //    side's next event. Jump the clock there; the sleepers are
+            //    credited when they wake. A jump never crosses a watchdog
+            //    sample, the cycle-budget boundary or `stop`, so timeout
+            //    and pause behavior is identical to the dense loop's.
+            if event_engine
+                && !any_awake
+                && !(next_block < spec.grid_blocks
+                    && self.cores[(next_block % n_cores) as usize].sm.has_capacity(warps))
+            {
                 let cur = self.cycle;
-                let mut busy = next_block < spec.grid_blocks
-                    && self.cores[(next_block % n_cores) as usize].sm.has_capacity(warps);
-                let mut wake = fold_wake(self.mesh.next_delivery(), self.shared.next_wake());
-                for c in &self.cores {
-                    if busy {
-                        break;
-                    }
-                    match c.sm.next_wake(cur) {
-                        SmWake::Busy => busy = true,
-                        SmWake::At(t) => wake = fold_wake(wake, Some(t)),
-                        SmWake::Idle => {}
-                    }
-                    wake = fold_wake(wake, c.mem.next_wake(cur));
+                let mut target = self.cores.iter().map(|c| c.wake_at).min().unwrap_or(u64::MAX);
+                target = target.min(self.mesh.next_delivery().unwrap_or(u64::MAX));
+                target = target.min(self.shared.next_wake().unwrap_or(u64::MAX));
+                if self.cfg.progress_window > 0 {
+                    target = target.min(next_watchdog);
                 }
-                if !busy {
-                    let mut target = wake.unwrap_or(u64::MAX);
-                    if self.cfg.progress_window > 0 {
-                        target = target.min(next_watchdog);
-                    }
-                    target =
-                        target.min(start.saturating_add(self.cfg.max_cycles).saturating_add(1));
-                    target = target.min(stop);
-                    if target > cur {
-                        let n = target - cur;
-                        for c in &mut self.cores {
-                            c.sm.skip_cycles(cur, n, &mut c.collector);
-                        }
-                        self.cycle = target;
-                    }
+                target = target.min(start.saturating_add(self.cfg.max_cycles).saturating_add(1));
+                target = target.min(stop);
+                if target > cur {
+                    self.cycle = target;
+                    self.engine.clock_jumps += 1;
                 }
             }
         }
+        self.wake_all(self.cycle);
 
         // Always-on conservation check: every classified cycle must be
         // accounted for before the numbers are reported anywhere.
@@ -846,6 +981,10 @@ impl Simulator {
     /// produces byte-identical compact JSON.
     pub fn snapshot(&self) -> gsi_json::Value {
         use gsi_json::{ToJson, Value};
+        debug_assert!(
+            self.cores.iter().all(|c| !c.asleep),
+            "a core is asleep outside run_until: its slept cycles are not yet credited"
+        );
         let program = match self.cores.first().and_then(|c| c.sm.program()) {
             Some(p) => Value::Str(gsi_isa::asm::disassemble(p)),
             None => Value::Null,

@@ -82,6 +82,22 @@ impl Scheduler {
         keys: &[u64],
         out: &mut Vec<usize>,
     ) {
+        self.order_positions_into(policy, active, keys, out);
+        for slot in out.iter_mut() {
+            *slot = active[*slot];
+        }
+    }
+
+    /// [`order_active_into`](Self::order_active_into) yielding positions
+    /// into `active` instead of warp indices, for callers that keep
+    /// per-warp data in live-list order (`SmCore::skip_cycles`).
+    pub fn order_positions_into(
+        &self,
+        policy: SchedPolicy,
+        active: &[usize],
+        keys: &[u64],
+        out: &mut Vec<usize>,
+    ) {
         debug_assert_eq!(active.len(), keys.len());
         debug_assert!(active.windows(2).all(|w| w[0] < w[1]), "live list must be ascending");
         out.clear();
@@ -89,20 +105,17 @@ impl Scheduler {
             SchedPolicy::Gto => {
                 out.extend(0..active.len());
                 out.sort_unstable_by_key(|&i| (keys[i], active[i]));
-                for slot in out.iter_mut() {
-                    *slot = active[*slot];
-                }
                 if let Some(g) = self.greedy {
-                    if let Some(pos) = out.iter().position(|&w| w == g) {
-                        out.remove(pos);
-                        out.insert(0, g);
+                    if let Some(pos) = out.iter().position(|&i| active[i] == g) {
+                        let i = out.remove(pos);
+                        out.insert(0, i);
                     }
                 }
             }
             SchedPolicy::RoundRobin => {
                 let p = active.partition_point(|&w| w < self.rr_start);
-                out.extend_from_slice(&active[p..]);
-                out.extend_from_slice(&active[..p]);
+                out.extend(p..active.len());
+                out.extend(0..p);
             }
         }
     }

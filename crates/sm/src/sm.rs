@@ -153,12 +153,13 @@ struct IssueScratch {
     pairs: Vec<(usize, u64)>,
     /// The bare addresses of `pairs`, in the shape the LSU expects.
     addrs: Vec<u64>,
-    /// Per-warp frozen `(hazards, profile credit, causal pc)` records for
-    /// a skipped stretch (`None` for inactive warps). The causal pc is
-    /// stable across the window for the same reason the hazards are: the
+    /// Frozen `(hazards, profile credit, causal pc)` records for a skipped
+    /// stretch, one per live warp in live-list order (so a window costs
+    /// O(resident), not O(warps ever dispatched)). The causal pc is stable
+    /// across the window for the same reason the hazards are: the
     /// last-writer tables only change on an issue or a fill, and the
     /// caller guarantees neither happens inside it.
-    skip_hazards: Vec<Option<(InstrHazards, bool, u32)>>,
+    skip_hazards: Vec<(InstrHazards, bool, u32)>,
 }
 
 /// What an SM can do next, computed by [`SmCore::next_wake`] without
@@ -460,7 +461,11 @@ impl SmCore {
     }
 
     /// [`tick`](Self::tick), recording issue-stage and memory events into
-    /// `sink`.
+    /// `sink`. Returns whether the issue stage left a warp behind that is
+    /// certain to be ready next cycle — one that ran out of issue slots, or
+    /// one whose instruction bounced off a structural hazard and retries.
+    /// After such a cycle the SM is obviously still busy, so the event
+    /// engine does not consult [`next_wake`](Self::next_wake) at all.
     pub fn tick_traced<S: TraceSink>(
         &mut self,
         now: u64,
@@ -468,13 +473,14 @@ impl SmCore {
         gmem: &mut GlobalMem,
         collector: &mut StallCollector,
         sink: &mut S,
-    ) {
+    ) -> bool {
         self.stats.cycles += 1;
         self.sweep_live();
         self.retire_completions(mem, collector);
-        self.issue_stage(now, mem, gmem, collector, sink);
+        let still_ready = self.issue_stage(now, mem, gmem, collector, sink);
         self.scheduler.next_cycle(self.warps.len());
         self.reap_blocks();
+        still_ready
     }
 
     /// Drop warps that exited since the last sweep from the live list.
@@ -534,46 +540,50 @@ impl SmCore {
     }
 
     /// Advance `n` cycles in one step over a stretch in which no warp can
-    /// issue — the event engine's bulk form of [`tick`](Self::tick).
+    /// issue — the bulk form of [`tick`](Self::tick), called by the event
+    /// engine when it wakes a sleeping core to credit the cycles the core
+    /// was not ticked for.
     ///
-    /// The caller guarantees (via [`next_wake`](Self::next_wake)) that for
-    /// every cycle in `[start, start + n)` each warp's Algorithm-1
-    /// classification is the one observable at `start`: no completions
-    /// arrive, no timer expires inside the window, and no warp is
-    /// issuable. Under those conditions this produces bit-identical
-    /// collector state, statistics, and per-warp profiles to `n`
-    /// individual ticks — including the round-robin rotation of the cycle
-    /// verdict's detail fields, which is replayed per cycle from the
-    /// frozen hazards.
+    /// The caller guarantees (via [`next_wake`](Self::next_wake) at the
+    /// moment the core went to sleep, and by waking it before anything
+    /// else touches it) that for every cycle in `[start, start + n)` each
+    /// warp's Algorithm-1 classification is the one observable at `start`:
+    /// no completions arrive, no timer expires inside the window, no block
+    /// is dispatched, and no warp is issuable. Under those conditions this
+    /// produces bit-identical collector state, statistics, and per-warp
+    /// profiles to `n` individual ticks — including the round-robin
+    /// rotation of the cycle verdict's detail fields, which is replayed
+    /// per cycle from the frozen hazards.
+    ///
+    /// One call costs O(live warps) for GTO (O(n x live) for round-robin)
+    /// and allocates nothing in steady state, however many warps the SM
+    /// has retired: it runs once per sleep window, not once per kernel.
     pub fn skip_cycles(&mut self, start: u64, n: u64, collector: &mut StallCollector) {
         if n == 0 {
             return;
         }
         self.stats.cycles += n;
         self.sweep_live();
-        // Freeze each warp's hazard record once; it is constant across the
-        // window. The credit flag mirrors the dense loop: control- and
+        // Freeze each live warp's hazard record once; it is constant across
+        // the window. The credit flag mirrors the dense loop: control- and
         // sync-blocked warps bail out before the per-warp profile line.
-        // The buffer stays indexed by warp id (the scheduler order below
-        // yields warp ids) but only live entries are filled.
+        // `hazards[i]` belongs to warp `live[i]` (the sweep above left only
+        // active warps in the list).
         let mut hazards = std::mem::take(&mut self.scratch.skip_hazards);
         hazards.clear();
-        hazards.resize(self.warps.len(), None);
         let program = self.program.as_ref().expect("program installed");
         for &wi in &self.live {
             let w = &self.warps[wi];
-            if !w.active {
-                continue;
-            }
+            debug_assert!(w.active, "swept live list holds an exited warp");
             let mut hz = InstrHazards::default();
             if start < w.ibuffer_ready_at {
                 hz.control = true;
-                hazards[wi] = Some((hz, false, w.last_branch_pc));
+                hazards.push((hz, false, w.last_branch_pc));
                 continue;
             }
             if w.sync_pending || w.at_barrier {
                 hz.synchronization = true;
-                hazards[wi] = Some((hz, false, w.sync_pc));
+                hazards.push((hz, false, w.sync_pc));
                 continue;
             }
             debug_assert!(
@@ -606,12 +616,12 @@ impl SmCore {
                 }
             }
             debug_assert!(!hz.can_issue(), "skipped a cycle with an issuable warp");
-            hazards[wi] = Some((hz, true, cause_pc));
+            hazards.push((hz, true, cause_pc));
         }
 
         // Per-warp profile credit is order-independent: bulk-charge it.
-        for &wi in &self.live {
-            if let Some((hz, true, _)) = &hazards[wi] {
+        for (&wi, (hz, credit, _)) in self.live.iter().zip(&hazards) {
+            if *credit {
                 let kind = classify_instruction(hz);
                 self.profiles[wi].considered[kind.index()] += n;
             }
@@ -635,8 +645,8 @@ impl SmCore {
             // the cheap part per cycle.
             crate::config::SchedPolicy::RoundRobin => n,
         };
-        for round in 0..rounds {
-            self.scheduler.order_active_into(
+        for _ in 0..rounds {
+            self.scheduler.order_positions_into(
                 self.cfg.scheduler,
                 &self.live,
                 &self.scratch.last_issue,
@@ -644,11 +654,10 @@ impl SmCore {
             );
             considered.clear();
             considered_pc.clear();
-            for &wi in &order {
-                if let Some((hz, _, pc)) = hazards[wi] {
-                    considered.push(hz);
-                    considered_pc.push(pc);
-                }
+            for &pos in &order {
+                let (hz, _, pc) = hazards[pos];
+                considered.push(hz);
+                considered_pc.push(pc);
             }
             let verdict = judge_cycle_scratch(
                 &self.cfg.cycle_priority,
@@ -667,7 +676,6 @@ impl SmCore {
                 collector.record_cycle(&verdict);
                 self.scheduler.next_cycle(self.warps.len());
             }
-            let _ = round;
         }
         if rounds == 1 {
             self.scheduler.advance_cycles(n, self.warps.len());
@@ -712,6 +720,9 @@ impl SmCore {
         self.scratch.completions = completions;
     }
 
+    /// Returns whether some warp passed its data gates without issuing
+    /// (no issue slot left, or a structural rejection): nothing can change
+    /// that before the next cycle, so the SM is known to be busy then.
     fn issue_stage<S: TraceSink>(
         &mut self,
         now: u64,
@@ -719,7 +730,7 @@ impl SmCore {
         gmem: &mut GlobalMem,
         collector: &mut StallCollector,
         sink: &mut S,
-    ) {
+    ) -> bool {
         // Scratch buffers are moved out of `self` for the duration of the
         // stage (moves, not allocations) so the per-warp mutations below
         // can borrow `self` freely.
@@ -741,6 +752,7 @@ impl SmCore {
         considered_pc.clear();
 
         let mut issued = 0usize;
+        let mut still_ready = false;
         let mut alu_used = 0u32;
         let mut sfu_used = 0u32;
 
@@ -848,7 +860,10 @@ impl SmCore {
                 }
             }
 
-            if hz.can_issue() && issued < self.cfg.issue_width {
+            if hz.can_issue() && issued >= self.cfg.issue_width {
+                // Out of issue slots: this warp is ready again next cycle.
+                still_ready = true;
+            } else if hz.can_issue() {
                 let pc_before = self.warps[wi].pc;
                 // A structural rejection is the stalled instruction's own
                 // doing: the causal pc is itself.
@@ -873,6 +888,8 @@ impl SmCore {
                         }
                     }
                     Err(structural) => {
+                        // The rejected instruction retries next cycle.
+                        still_ready = true;
                         if sink.counters_on() {
                             if let Some(cause) = structural.mem_structural {
                                 sink.record(Ev::LsuReject {
@@ -927,6 +944,7 @@ impl SmCore {
             });
         }
         collector.record_cycle(&verdict);
+        still_ready
     }
 
     /// Attempt to issue `instr` from warp `wi`. On a structural hazard the

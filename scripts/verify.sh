@@ -22,13 +22,16 @@ GSI_TRACE_LEVEL=counters cargo test -q --offline --test alloc_free
 
 echo "== engine differential (dense vs event, counters tracing) =="
 # The event-driven calendar must be bit-identical to the dense loop on
-# every workload, both protocols, chaos seeds included; counters-level
-# tracing also compares the recorded event-count vectors.
+# every workload, both protocols and schedulers, chaos seeds and
+# asymmetric SM occupancy included; counters-level tracing also compares
+# the recorded event-count vectors.
 GSI_TRACE_LEVEL=counters cargo test -q --offline --release --test engine_diff
 
-echo "== perf smoke (event engine vs dense on a memory-bound workload) =="
-# Release-only wall-clock assertion: the calendar's wake evaluation must
-# not cost more than the dead cycles it skips.
+echo "== perf smoke (event engine vs dense: memory-bound and uts/gpu) =="
+# Release-only wall-clock assertions: the calendar's wake evaluation must
+# not cost more than the dead cycles it skips on a memory-bound workload,
+# and per-core sleeping must keep the event engine >= 1.3x dense on
+# paper-scale UTS, the compute-bound row it used to lose.
 cargo test -q --offline --release --test engine_perf -- --ignored
 
 echo "== perf bench (paper scale, BENCH_PR<n>.json) =="

@@ -14,7 +14,7 @@
 
 #![allow(clippy::unwrap_used)] // test code asserts infallibility
 
-use gsi::isa::{ProgramBuilder, Reg};
+use gsi::isa::{MemSem, Operand, ProgramBuilder, Reg};
 use gsi::sim::{AnalysisGate, LaunchSpec, Simulator, SystemConfig};
 use gsi::trace::TraceLevel;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -84,6 +84,19 @@ fn trace_level() -> TraceLevel {
     }
 }
 
+/// Run `spec` twice on `sim`: a warm-up that grows every scratch buffer to
+/// steady-state capacity, then the measured run. Returns the allocations
+/// the measured run made and its cycle count.
+fn warmed_allocs(sim: &mut Simulator, spec: &LaunchSpec) -> (u64, u64) {
+    let warm = sim.run_kernel(spec).unwrap();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    MEASURING.with(|m| m.set(true));
+    let run = sim.run_kernel(spec).unwrap();
+    MEASURING.with(|m| m.set(false));
+    assert_eq!(warm.cycles, run.cycles, "warm-up and measured runs agree");
+    (ALLOCS.load(Ordering::Relaxed) - before, run.cycles)
+}
+
 /// Allocations made by the second (scratch-warmed) execution of the kernel.
 fn allocs_for(iters: u64) -> (u64, u64) {
     // Gate off: the pre-flight analyzer is a per-launch pass (never
@@ -91,15 +104,7 @@ fn allocs_for(iters: u64) -> (u64, u64) {
     let cfg = SystemConfig::paper().with_gpu_cores(2).with_analysis_gate(AnalysisGate::Off);
     let mut sim = Simulator::new(cfg);
     sim.set_trace_level(trace_level());
-    let spec = spin_spec(iters);
-    // Warm-up: grows every scratch buffer to steady-state capacity.
-    let warm = sim.run_kernel(&spec).unwrap();
-    let before = ALLOCS.load(Ordering::Relaxed);
-    MEASURING.with(|m| m.set(true));
-    let run = sim.run_kernel(&spec).unwrap();
-    MEASURING.with(|m| m.set(false));
-    assert_eq!(warm.cycles, run.cycles, "warm-up and measured runs agree");
-    (ALLOCS.load(Ordering::Relaxed) - before, run.cycles)
+    warmed_allocs(&mut sim, &spin_spec(iters))
 }
 
 /// Like [`allocs_for`], but with block dispatch live through the whole
@@ -119,14 +124,33 @@ fn streaming_allocs_for(iters: u64) -> (u64, u64) {
     b.subi(Reg(1), Reg(1), 1);
     b.bra_nz(Reg(1), top);
     b.exit();
-    let spec = LaunchSpec::new(b.build().unwrap(), 8, 1);
-    let warm = sim.run_kernel(&spec).unwrap();
-    let before = ALLOCS.load(Ordering::Relaxed);
-    MEASURING.with(|m| m.set(true));
-    let run = sim.run_kernel(&spec).unwrap();
-    MEASURING.with(|m| m.set(false));
-    assert_eq!(warm.cycles, run.cycles, "warm-up and measured runs agree");
-    (ALLOCS.load(Ordering::Relaxed) - before, run.cycles)
+    warmed_allocs(&mut sim, &LaunchSpec::new(b.build().unwrap(), 8, 1))
+}
+
+/// Like [`allocs_for`], but on four SMs whose warps spend most cycles
+/// waiting on atomic round trips to the L2: each SM falls asleep when its
+/// warps stall, is woken by the response's delivery (or its own ALU
+/// timers), and is credited the slept stretch through `skip_cycles`. The
+/// sleep/wake path — calendar evaluation, frozen-hazard buffer, bulk
+/// crediting — must not allocate per window. Also returns the SM-cycles
+/// the run slept through.
+fn sleeping_allocs_for(iters: u64) -> (u64, u64, u64) {
+    let cfg = SystemConfig::paper().with_gpu_cores(4).with_analysis_gate(AnalysisGate::Off);
+    let mut sim = Simulator::new(cfg);
+    sim.set_trace_level(trace_level());
+    let mut b = ProgramBuilder::new("roundtrips");
+    b.ldi(Reg(1), iters);
+    let top = b.here();
+    b.atom_add(Reg(3), Reg(2), Operand::Imm(1), MemSem::Relaxed);
+    b.addi(Reg(4), Reg(3), 1); // waits for the response: memory-data stalls
+    b.subi(Reg(1), Reg(1), 1);
+    b.bra_nz(Reg(1), top);
+    b.exit();
+    let spec = LaunchSpec::new(b.build().unwrap(), 4, 2)
+        .with_init(|w, block, _, _| w.set_uniform(2, 0x9000 + block * 64));
+    let (allocs, cycles) = warmed_allocs(&mut sim, &spec);
+    // Warm-up and measured run sleep alike: half the total is the latter's.
+    (allocs, cycles, sim.engine_stats().core_cycles_slept / 2)
 }
 
 #[test]
@@ -170,5 +194,26 @@ fn steady_state_cycle_loop_does_not_allocate() {
         "streaming dispatch must not allocate per cycle \
          ({stream_short_cycles} cycles -> {stream_short_allocs} allocs, \
          {stream_long_cycles} cycles -> {stream_long_allocs} allocs)"
+    );
+
+    // Same property across per-core sleep and wake: four SMs sleeping
+    // through atomic round trips, ~100x the sleep windows.
+    let (sleep_short_allocs, sleep_short_cycles, _) = sleeping_allocs_for(20);
+    let (sleep_long_allocs, sleep_long_cycles, slept) = sleeping_allocs_for(2_000);
+    assert!(
+        sleep_long_cycles > sleep_short_cycles * 50,
+        "the long sleeping run must dwarf the short one \
+         ({sleep_short_cycles} vs {sleep_long_cycles} cycles)"
+    );
+    assert!(
+        slept > sleep_long_cycles,
+        "the SMs must spend most of the run asleep \
+         (slept {slept} SM-cycles of 4 x {sleep_long_cycles})"
+    );
+    assert_eq!(
+        sleep_short_allocs, sleep_long_allocs,
+        "sleeping and waking an SM must not allocate \
+         ({sleep_short_cycles} cycles -> {sleep_short_allocs} allocs, \
+         {sleep_long_cycles} cycles -> {sleep_long_allocs} allocs)"
     );
 }

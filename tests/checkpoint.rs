@@ -215,6 +215,67 @@ fn chaos_armed_machines_checkpoint() {
     }
 }
 
+/// Pausing must be invisible wherever it lands relative to the event
+/// engine's per-core sleep windows. Over a 200-cycle span of UTSD (SMs
+/// sleeping on lock round trips, a few cycles at a time), cut `run_until`
+/// at every cycle two ways — one machine stepped a cycle at a time, and a
+/// fresh restore of the span's first snapshot run straight to the cut, so
+/// the cut lands inside whatever windows are open there — and require the
+/// snapshot bytes at every cut to equal the dense engine's (the recorded
+/// `cycle_engine` config field aside).
+#[test]
+fn every_cut_through_sleep_windows_matches_dense() {
+    const SPAN: u64 = 200;
+    let cfg = uts::UtsConfig::small();
+    let lay = uts::UtsLayout::new(&cfg);
+    let spec = uts::launch_spec(&cfg, lay, uts::Variant::Decentralized);
+    let launch = |engine| {
+        let mut sim = Simulator::new(base(4, Protocol::DeNovo).with_cycle_engine(engine));
+        sim.set_timeline_epoch(64);
+        sim.set_blame_enabled(true);
+        uts::init_memory(&mut sim, &cfg, &lay);
+        sim.begin_kernel(&spec).unwrap();
+        sim
+    };
+    let as_event = |dense: &Simulator| {
+        dense.snapshot().to_string().replacen(
+            "\"cycle_engine\":\"Dense\"",
+            "\"cycle_engine\":\"Event\"",
+            1,
+        )
+    };
+
+    let mut dense = launch(CycleEngine::Dense);
+    let mut stepped = launch(CycleEngine::Event);
+    let from = 300;
+    assert!(dense.run_until(&spec, from).unwrap().is_none(), "kernel ended before the span");
+    assert!(stepped.run_until(&spec, from).unwrap().is_none());
+    let origin = stepped.snapshot();
+    assert_eq!(origin.to_string(), as_event(&dense), "cut {from}: span start differs");
+
+    let mut slept_mid_window = 0;
+    for cut in from + 1..=from + SPAN {
+        assert!(dense.run_until(&spec, cut).unwrap().is_none(), "kernel ended inside the span");
+        let want = as_event(&dense);
+
+        assert!(stepped.run_until(&spec, cut).unwrap().is_none());
+        assert_eq!(stepped.snapshot().to_string(), want, "cut {cut}: stepped machine differs");
+
+        let mut jumped = Simulator::restore(&origin, &spec).unwrap();
+        assert!(jumped.run_until(&spec, cut).unwrap().is_none());
+        assert_eq!(jumped.snapshot().to_string(), want, "cut {cut}: straight run differs");
+        slept_mid_window = slept_mid_window.max(jumped.engine_stats().core_cycles_slept);
+    }
+    assert!(
+        slept_mid_window > SPAN,
+        "the span must contain sleep windows (slept {slept_mid_window} SM-cycles)"
+    );
+
+    // And the paused machines finish exactly like the dense one.
+    let want = dense.run_until(&spec, u64::MAX).unwrap().unwrap();
+    assert_eq!(stepped.run_until(&spec, u64::MAX).unwrap().unwrap(), want);
+}
+
 /// Restore refuses a snapshot whose recorded program does not match the
 /// launch spec it is being resumed with.
 #[test]

@@ -6,8 +6,11 @@
 #![allow(clippy::unwrap_used)] // test code asserts infallibility
 
 use gsi::chaos::{FaultKind, FaultParams, FaultPlan};
-use gsi::isa::{ProgramBuilder, Reg};
-use gsi::sim::{LaunchSpec, SimError, Simulator, SystemConfig, TimeoutKind};
+use gsi::isa::{MemSem, Operand, ProgramBuilder, Reg};
+use gsi::sim::{
+    AnalysisGate, CycleEngine, LaunchSpec, ProgressReport, SimError, Simulator, SystemConfig,
+    TimeoutKind,
+};
 
 /// Warp 0 tries a global load; warp 1 waits at the block barrier for it.
 fn load_then_barrier_spec() -> LaunchSpec {
@@ -148,4 +151,66 @@ fn progress_window_zero_disables_the_watchdog() {
     };
     assert_eq!(report.kind, TimeoutKind::CycleBudget);
     assert!(report.cycles_run >= 60_000);
+}
+
+/// Run `spec` to its timeout under `engine` and return the report.
+fn timeout_report(
+    cfg: SystemConfig,
+    engine: CycleEngine,
+    plan: &FaultPlan,
+    spec: &LaunchSpec,
+    init: impl Fn(&mut Simulator),
+) -> (Box<ProgressReport>, u64) {
+    let mut sim = Simulator::new(cfg.with_cycle_engine(engine));
+    sim.set_chaos(plan);
+    init(&mut sim);
+    let err = sim.run_kernel(spec).expect_err("must time out");
+    let SimError::Timeout { report, .. } = err else {
+        panic!("expected a timeout, got {err}");
+    };
+    (report, sim.engine_stats().core_cycles_slept)
+}
+
+/// The event engine stops ticking SMs that cannot issue, and a timeout can
+/// fire while some are asleep. The report snapshots every SM's breakdown,
+/// warp states and the cycles since progress, so sleepers must be credited
+/// first: both timeout paths must produce the dense loop's report.
+#[test]
+fn timeout_reports_match_dense_when_sms_are_asleep() {
+    // Watchdog path: one block on four SMs. SM 0 bounces off the wedged
+    // MSHR every cycle; SMs 1-3 never get a block and sleep throughout.
+    let cfg = SystemConfig::paper().with_gpu_cores(4).with_progress_window(3_000);
+    let spec = load_then_barrier_spec();
+    let (dense, _) = timeout_report(cfg, CycleEngine::Dense, &wedged_mshr(), &spec, |_| {});
+    let (event, slept) = timeout_report(cfg, CycleEngine::Event, &wedged_mshr(), &spec, |_| {});
+    assert_eq!(dense.kind, TimeoutKind::NoForwardProgress);
+    assert!(slept > 3 * 3_000, "the empty SMs must have been asleep (slept {slept})");
+    assert_eq!(event, dense, "watchdog reports differ:\n{}\n{}", event.render(), dense.render());
+
+    // Budget path: a block per SM, each spinning on a lock nobody holds
+    // the key to while its second warp waits at the barrier. Every SM
+    // sleeps through each CAS round trip, so the budget expires with SMs
+    // mid-window.
+    let lock = 0x8000u64;
+    let mut b = ProgramBuilder::new("spin");
+    let wait = b.label();
+    b.ldi(Reg(2), lock);
+    b.bra_nz(Reg(1), wait);
+    let spin = b.here();
+    b.atom_cas(Reg(3), Reg(2), Operand::Imm(0), Operand::Imm(1), MemSem::Acquire);
+    b.jmp_to(spin);
+    b.bind(wait);
+    b.bar();
+    b.exit();
+    let spec = LaunchSpec::new(b.build().unwrap(), 4, 2)
+        .with_init(|w, _block, warp, _| w.set_uniform(1, warp as u64));
+    let mut cfg = SystemConfig::paper().with_gpu_cores(4).with_analysis_gate(AnalysisGate::Off);
+    cfg.max_cycles = 7_001;
+    let held = |sim: &mut Simulator| sim.gmem_mut().write_word(lock, 1);
+    let none = FaultPlan::disabled();
+    let (dense, _) = timeout_report(cfg, CycleEngine::Dense, &none, &spec, held);
+    let (event, slept) = timeout_report(cfg, CycleEngine::Event, &none, &spec, held);
+    assert_eq!(dense.kind, TimeoutKind::CycleBudget);
+    assert!(slept > 7_001, "the spinning SMs must have slept (slept {slept})");
+    assert_eq!(event, dense, "budget reports differ:\n{}\n{}", event.render(), dense.render());
 }
